@@ -138,14 +138,14 @@ ShiftedBasis::ShiftedBasis(const BasisSpec& spec, int s)
   theta_.assign(degrees, 0.0);
   sigma_.assign(degrees, 0.0);
   if (type_ != BasisType::kMonomial) {
-    lambda_min_ = spec.lambda_min;
-    lambda_max_ = spec.lambda_max;
-    PIPESCG_CHECK(std::isfinite(lambda_min_) && std::isfinite(lambda_max_) &&
-                      lambda_min_ > 0.0 && lambda_max_ > lambda_min_,
+    const double lo = spec.lambda_min;
+    const double hi = spec.lambda_max;
+    PIPESCG_CHECK(std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 &&
+                      hi > lo,
                   "shifted basis needs a resolved positive spectrum interval "
                   "(see resolve_basis)");
-    const double c = 0.5 * (lambda_max_ + lambda_min_);
-    const double e = 0.5 * (lambda_max_ - lambda_min_);
+    const double c = 0.5 * (hi + lo);
+    const double e = 0.5 * (hi - lo);
     if (type_ == BasisType::kChebyshev) {
       for (std::size_t j = 0; j < degrees; ++j) theta_[j] = c;
       gamma_[0] = e;
@@ -154,8 +154,7 @@ ShiftedBasis::ShiftedBasis(const BasisSpec& spec, int s)
         sigma_[j] = 0.5 * e;
       }
     } else {  // Newton
-      const std::vector<double> pts = leja_points(lambda_min_, lambda_max_,
-                                                  degrees);
+      const std::vector<double> pts = leja_points(lo, hi, degrees);
       for (std::size_t j = 0; j < degrees; ++j) {
         theta_[j] = pts[j];
         gamma_[j] = 0.5 * e;  // interval capacity (max - min) / 4
@@ -210,8 +209,18 @@ std::span<const double> ShiftedBasis::seed(int j, int c) const {
                 static_cast<std::size_t>(c)];
 }
 
+std::span<Vec> ChainView::span(std::size_t first, std::size_t count) const {
+  if (first >= lo->size()) return {hi->data() + (first - lo->size()), count};
+  PIPESCG_CHECK(first + count <= lo->size(), "chain range straddles blocks");
+  return {lo->data() + first, count};
+}
+
 void extend_chain(Engine& engine, const ShiftedBasis& basis, ChainView cols,
                   std::size_t first, std::size_t count, Vec& scratch) {
+  if (basis.monomial()) {
+    engine.apply_op_powers(cols[first - 1], cols.span(first, count));
+    return;
+  }
   for (std::size_t d = first; d < first + count; ++d) {
     const int k = static_cast<int>(d) - 1;
     engine.apply_op(cols[d - 1], scratch);
@@ -227,18 +236,38 @@ void extend_chain(Engine& engine, const ShiftedBasis& basis, ChainView cols,
 void extend_chain_pc(Engine& engine, const ShiftedBasis& basis, ChainView w,
                      ChainView v, std::size_t first, std::size_t count,
                      Vec& scratch) {
+  if (basis.monomial() && engine.has_matrix_powers() &&
+      !engine.has_preconditioner()) {
+    // See DESIGN.md section 8: a null-pc apply_pc copy does not count as a
+    // PC application, so the counters match the interleaved chain.
+    engine.apply_op_powers(v[first - 1], w.span(first, count));
+    for (std::size_t d = first; d < first + count; ++d)
+      engine.apply_pc(w[d], v[d]);
+    return;
+  }
   for (std::size_t d = first; d < first + count; ++d) {
     const int k = static_cast<int>(d) - 1;
-    engine.apply_op(v[d - 1], scratch);
-    engine.shift_combine(w[d], scratch, basis.theta(k), w[d - 1],
-                         k > 0 ? basis.sigma(k) : 0.0,
-                         k > 0 ? &w[d - 2] : nullptr, basis.gamma(k));
+    if (basis.monomial()) {
+      engine.apply_op(v[d - 1], w[d]);
+    } else {
+      engine.apply_op(v[d - 1], scratch);
+      engine.shift_combine(w[d], scratch, basis.theta(k), w[d - 1],
+                           k > 0 ? basis.sigma(k) : 0.0,
+                           k > 0 ? &w[d - 2] : nullptr, basis.gamma(k));
+    }
     engine.apply_pc(w[d], v[d]);
   }
 }
 
 void combine_chain(Engine& engine, std::span<const double> coeffs,
                    ChainView cols, Vec& dst) {
+  const auto nonzero = [](double c) { return c != 0.0; };
+  const auto first = std::find_if(coeffs.begin(), coeffs.end(), nonzero);
+  if (first != coeffs.end() && *first == 1.0 &&
+      std::find_if(first + 1, coeffs.end(), nonzero) == coeffs.end()) {
+    engine.copy(cols[static_cast<std::size_t>(first - coeffs.begin())], dst);
+    return;
+  }
   engine.set_all(dst, 0.0);
   // Pair consecutive nonzero terms so each pass over dst accumulates two
   // columns (term order, and hence rounding, unchanged).

@@ -69,6 +69,8 @@ struct BasisSpec {
   double lambda_max = 0.0;  ///< <= 0: estimate by power iteration at setup
   int power_iterations = 10;      ///< setup estimation budget
   double interval_ratio = 30.0;   ///< lambda_min fallback divisor
+
+  bool operator==(const BasisSpec&) const = default;
 };
 
 /// Resolve the shift interval of `spec` against the operator the engine
@@ -88,11 +90,8 @@ class ShiftedBasis {
   /// `spec` must be resolved (non-monomial types need a positive interval).
   ShiftedBasis(const BasisSpec& spec, int s);
 
-  BasisType type() const { return type_; }
   bool monomial() const { return type_ == BasisType::kMonomial; }
   int s() const { return s_; }
-  double lambda_min() const { return lambda_min_; }
-  double lambda_max() const { return lambda_max_; }
 
   /// Recurrence coefficients for degree j -> j+1, j in [0, 2s).
   double gamma(int j) const { return gamma_[static_cast<std::size_t>(j)]; }
@@ -107,7 +106,6 @@ class ShiftedBasis {
  private:
   BasisType type_;
   int s_;
-  double lambda_min_ = 0.0, lambda_max_ = 0.0;
   std::vector<double> gamma_, theta_, sigma_;
   std::vector<std::vector<double>> seeds_;  // [(s+1) * s] tables
 };
@@ -121,27 +119,34 @@ struct ChainView {
   Vec& operator[](std::size_t d) const {
     return d < lo->size() ? (*lo)[d] : (*hi)[d - lo->size()];
   }
-  const Vec& at(std::size_t d) const { return (*this)[d]; }
+  /// Degrees [first, first+count) as one span; the range must lie in one
+  /// of the two blocks.
+  std::span<Vec> span(std::size_t first, std::size_t count) const;
 };
 
-/// Extend an unpreconditioned shifted chain: columns [first, first+count)
-/// get p_d(A) applied to the chain's column 0 via the three-term recurrence
+/// Extend an unpreconditioned chain: columns [first, first+count) get
+/// p_d(A) applied to the chain's column 0 via the three-term recurrence
 ///   p_d = (A p_{d-1} - theta_{d-1} p_{d-1} - sigma_{d-1} p_{d-2}) / gamma_{d-1}.
-/// One SPMV per new column -- the same count as the monomial power loop; no
-/// matrix-powers fusion (the shift combinations interleave with the SPMVs).
+/// One SPMV per new column.  A monomial basis is the pure power chain
+/// A^d p_0: one Engine::apply_op_powers call, fused into one halo exchange
+/// when a matrix-powers kernel is attached.
 void extend_chain(Engine& engine, const ShiftedBasis& basis, ChainView cols,
                   std::size_t first, std::size_t count, Vec& scratch);
 
 /// Preconditioned twin chains w_d = M v_d (r-side) and v_d (u-side): the
 /// SPMV extends the w side from v_{d-1}, the shift combination runs on the
 /// w side, and one PC application produces v_d = M^{-1} w_d -- one SPMV plus
-/// one PC per column, matching the monomial interleaved chain.
+/// one PC per column.  A monomial basis interleaves w_d = A v_{d-1},
+/// v_d = M^{-1} w_d; with no preconditioner attached that chain is pure
+/// powers of A, so an attached matrix-powers kernel fuses the SPMVs (the
+/// apply_pc copies stay, keeping v_d a distinct vector).
 void extend_chain_pc(Engine& engine, const ShiftedBasis& basis, ChainView w,
                      ChainView v, std::size_t first, std::size_t count,
                      Vec& scratch);
 
 /// dst = sum_d coeffs[d] * cols[d] (seed-expansion combination for the
-/// tower columns; zero coefficients are skipped).
+/// tower columns; zero coefficients are skipped).  A single unit
+/// coefficient -- every monomial seed -- is a plain copy.
 void combine_chain(Engine& engine, std::span<const double> coeffs,
                    ChainView cols, Vec& dst);
 

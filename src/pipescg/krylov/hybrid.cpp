@@ -1,5 +1,7 @@
 #include "pipescg/krylov/hybrid.hpp"
 
+#include <algorithm>
+
 #include "pipescg/krylov/pipecg_oati.hpp"
 #include "pipescg/krylov/sstep_common.hpp"
 
@@ -48,6 +50,18 @@ SolveStats HybridSolver::solve(Engine& engine, const Vec& b, Vec& x,
   merged.true_residual = tail.true_residual;
   merged.recoveries = stats.recoveries + tail.recoveries;
   merged.final_s = tail.final_s;
+  merged.basis = stats.basis;
+  merged.basis_lambda_min = stats.basis_lambda_min;
+  merged.basis_lambda_max = stats.basis_lambda_max;
+  merged.replacements = stats.replacements + tail.replacements;
+  merged.gap_checks = stats.gap_checks + tail.gap_checks;
+  merged.failed_replacements =
+      stats.failed_replacements + tail.failed_replacements;
+  merged.gram_breakdowns = stats.gram_breakdowns + tail.gram_breakdowns;
+  merged.last_residual_gap = tail.gap_checks > 0 ? tail.last_residual_gap
+                                                 : stats.last_residual_gap;
+  merged.max_residual_gap =
+      std::max(stats.max_residual_gap, tail.max_residual_gap);
   merged.history = stats.history;
   for (const auto& [it, rnorm] : tail.history)
     merged.history.emplace_back(stats.iterations + it, rnorm);

@@ -5,17 +5,13 @@
 #include <utility>
 
 #include "pipescg/base/error.hpp"
-#include "pipescg/krylov/sstep_common.hpp"
+#include "pipescg/krylov/scg_sspmv.hpp"
 #include "pipescg/par/comm.hpp"
 
 namespace pipescg::krylov {
 
 using sstep::DotLayout;
 using sstep::ScalarWork;
-
-std::size_t max_batch_columns(int s) {
-  return max_batch_columns(s, /*shifted_basis=*/false);
-}
 
 std::size_t max_batch_columns(int s, bool shifted_basis) {
   const DotLayout layout{s, /*preconditioned=*/false, shifted_basis};
@@ -24,22 +20,13 @@ std::size_t max_batch_columns(int s, bool shifted_basis) {
 
 namespace {
 
-// Everything one right-hand side carries through the lockstep loop.  The
-// blocks mirror ScgSspmvSolver::solve exactly; only the dot batches are
-// shared with the other columns.
+// One right-hand side in the lockstep loop: an sCG-sSPMV method instance
+// plus the per-column state the single-RHS driver would keep.
 struct Column {
-  Column(Engine& engine, int s)
-      : basis(engine.new_block(static_cast<std::size_t>(s) + 1)),
-        basis_next(engine.new_block(static_cast<std::size_t>(s) + 1)),
-        p_prev(engine.new_block(static_cast<std::size_t>(s))),
-        p_cur(engine.new_block(static_cast<std::size_t>(s))),
-        ap_prev(engine.new_block(static_cast<std::size_t>(s))),
-        ap_cur(engine.new_block(static_cast<std::size_t>(s))),
-        scalar_work(s) {}
+  Column(Engine& engine, const ShiftedBasis& basis)
+      : method(engine, basis), scalar_work(basis.s()) {}
 
-  VecBlock basis, basis_next;
-  VecBlock p_prev, p_cur;
-  VecBlock ap_prev, ap_cur;
+  sstep::ScgSspmvMethod method;
   ScalarWork scalar_work;
   SolveStats stats;
   std::vector<double> values;  // this column's slice of the fused batch
@@ -56,7 +43,6 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
                                         std::span<const Vec> bs,
                                         std::span<Vec> xs,
                                         const SolverOptions& opts) {
-  using namespace sstep;
   const std::size_t k = bs.size();
   PIPESCG_CHECK(k >= 1 && xs.size() == k,
                 "scg_multi_solve needs matching, non-empty b/x column sets");
@@ -68,20 +54,20 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   const BasisSpec basis_spec =
       resolve_basis(engine, opts.basis, /*preconditioned=*/false);
   const ShiftedBasis sbasis(basis_spec, s);
-  const bool shifted = !sbasis.monomial();
 
-  const DotLayout layout{s, /*preconditioned=*/false, shifted};
-  PIPESCG_CHECK(k <= max_batch_columns(s, shifted),
-                "multi-RHS batch of " + std::to_string(k) +
-                    " columns exceeds max_batch_columns(s=" +
-                    std::to_string(s) + ") = " +
-                    std::to_string(max_batch_columns(s, shifted)) +
-                    " (fused payload would overflow one allreduce)");
+  const DotLayout layout{s, /*preconditioned=*/false, !sbasis.monomial()};
+  const std::size_t max_k = max_batch_columns(s, layout.gram);
+  PIPESCG_CHECK(k <= max_k, "multi-RHS batch of " + std::to_string(k) +
+                                " columns exceeds max_batch_columns(s=" +
+                                std::to_string(s) + ") = " +
+                                std::to_string(max_k) +
+                                " (fused payload would overflow one "
+                                "allreduce)");
 
   std::vector<Column> cols;
   cols.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    cols.emplace_back(engine, s);
+    cols.emplace_back(engine, sbasis);
     cols[i].stats.method = "scg-sspmv";
     cols[i].stats.final_s = s;
     cols[i].stats.basis = to_string(basis_spec.type);
@@ -118,21 +104,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     }
   }
 
-  // --- initial residual and power basis per column ------------------------
-  for (std::size_t i = 0; i < k; ++i) {
-    Column& c = cols[i];
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(xs[i], ax);
-      engine.waxpy(c.basis[0], -1.0, ax, bs[i]);
-    }
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&c.basis, nullptr}, 1, su,
-                   scratch);
-    else
-      engine.apply_op_powers(c.basis[0],
-                             std::span<Vec>(c.basis.data() + 1, su));
-  }
+  for (std::size_t i = 0; i < k; ++i)
+    cols[i].method.start(engine, bs[i], xs[i], scratch);
 
   // Fused dot batch across the active columns: each contributes its full
   // DotLayout slice contiguously, so scattering the reduced payload back is
@@ -142,17 +115,12 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   std::vector<Column*> batch_order;
   std::vector<DotPair> col_pairs;
 
-  const auto reduce_active = [&](bool next_basis) {
+  const auto reduce_active = [&] {
     fused.clear();
     batch_order.clear();
     for (Column& c : cols) {
       if (!c.active) continue;
-      if (shifted)
-        build_gram_dot_pairs(next_basis ? c.basis_next : c.basis, c.ap_cur,
-                             col_pairs);
-      else
-        build_dot_pairs(next_basis ? c.basis_next : c.basis, c.ap_cur,
-                        col_pairs);
+      c.method.dot_pairs(layout, col_pairs);
       fused.insert(fused.end(), col_pairs.begin(), col_pairs.end());
       batch_order.push_back(&c);
     }
@@ -169,7 +137,7 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     }
   };
 
-  reduce_active(/*next_basis=*/false);
+  reduce_active();
   for (Column& c : cols) {
     c.rnorm = std::sqrt(std::max(layout.norm_sq(c.values, opts.norm), 0.0));
     if (!detail::checkpoint(c.stats, opts, 0, c.rnorm)) {
@@ -190,17 +158,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     for (std::size_t i = 0; i < k; ++i) {
       Column& c = cols[i];
       if (!c.active) continue;
-      const la::DenseMatrix cross = layout.cross(c.values);
-      ScalarWork::Result sw =
-          shifted ? c.scalar_work.step_gram(
-                        sbasis,
-                        std::span<const double>(c.values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : c.scalar_work.step(
-                        std::span<const double>(c.values.data(),
-                                                layout.moment_count()),
-                        cross);
+      const ScalarWork::Result sw =
+          c.scalar_work.step(layout, sbasis, c.values);
       if (!sw.ok) {
         // No rollback in the batched driver: freeze this column with the
         // failure flagged and keep the others iterating.
@@ -210,34 +169,11 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
         c.active = false;
         continue;
       }
-
-      // Direction block and AQ/AP recurrence (paper Alg. 4 lines 9-11).
-      copy_block(engine, c.basis, c.p_cur, su);
-      for (std::size_t j = 0; j < su; ++j) {
-        if (shifted)
-          combine_chain(engine, sbasis.seed(0, static_cast<int>(j)),
-                        ChainView{&c.basis, nullptr}, c.ap_cur[j]);
-        else
-          engine.copy(c.basis[j + 1], c.ap_cur[j]);
-      }
-      if (c.outer > 0) {
-        engine.block_maxpy(c.p_cur, c.p_prev, sw.b);
-        engine.block_maxpy(c.ap_cur, c.ap_prev, sw.b);
-      }
-
-      // x and the recurred residual (Alg. 4 lines 12-13), then the basis
-      // rebuild: s SPMVs, one halo epoch when an MPK is attached.
-      engine.block_axpy(xs[i], c.p_cur, sw.alpha);
-      engine.block_combine(c.basis_next[0], c.basis[0], c.ap_cur, sw.alpha);
-      if (shifted)
-        extend_chain(engine, sbasis, ChainView{&c.basis_next, nullptr}, 1, su,
-                     scratch);
-      else
-        engine.apply_op_powers(c.basis_next[0],
-                               std::span<Vec>(c.basis_next.data() + 1, su));
+      c.method.update(engine, bs[i], xs[i], sw, c.outer == 0,
+                      /*replace=*/false, scratch);
     }
 
-    reduce_active(/*next_basis=*/true);
+    reduce_active();
 
     for (Column& c : cols) {
       if (!c.active) continue;
@@ -250,13 +186,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
         continue;
       }
       engine.mark_iteration(c.iterations - 1, c.rnorm);
-      if (c.rnorm < c.tol || c.iterations >= opts.max_iterations) {
+      if (c.rnorm < c.tol || c.iterations >= opts.max_iterations)
         c.active = false;
-        continue;
-      }
-      std::swap(c.basis, c.basis_next);
-      std::swap(c.p_prev, c.p_cur);
-      std::swap(c.ap_prev, c.ap_cur);
     }
   }
 

@@ -39,7 +39,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/true};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(wb, v, apr_cur, pairs);  // apr_cur zero: C = 0
+  build_dot_pairs(layout, wb, v, apr_cur, pairs);  // apr_cur zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
@@ -84,7 +84,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_pc(wb_next[j], v_next[j]);
     }
 
-    build_dot_pairs(wb_next, v_next, apr_cur, pairs);
+    build_dot_pairs(layout, wb_next, v_next, apr_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;

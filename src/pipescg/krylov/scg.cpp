@@ -35,7 +35,7 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/false};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(basis, ap_cur, pairs);  // ap_cur zero: C = 0
+  build_dot_pairs(layout, basis, basis, ap_cur, pairs);  // ap_cur zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
@@ -78,7 +78,7 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_op(basis_next[j - 1], basis_next[j]);
 
     // One blocking allreduce for all 2s+1 moments + cross (Alg. 2 line 13).
-    build_dot_pairs(basis_next, ap_cur, pairs);
+    build_dot_pairs(layout, basis_next, basis_next, ap_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;

@@ -1,264 +1,62 @@
 #include "pipescg/krylov/scg_sspmv.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
-#include "pipescg/base/error.hpp"
-#include "pipescg/fault/recovery.hpp"
-#include "pipescg/krylov/sstep_common.hpp"
-#include "pipescg/obs/profiler.hpp"
+#include "pipescg/krylov/sstep_driver.hpp"
 
 namespace pipescg::krylov {
-namespace {
+namespace sstep {
 
-enum class AttemptEnd { kDone, kFault };
+ScgSspmvMethod::ScgSspmvMethod(Engine& engine, const ShiftedBasis& basis)
+    : basis(&basis),
+      s(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
+      s_next(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
+      p(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      p_next(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      ap(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      ap_next(engine.new_block(static_cast<std::size_t>(basis.s()))) {}
 
-}  // namespace
+void ScgSspmvMethod::start(Engine& engine, const Vec& b, const Vec& x,
+                           Vec& scratch) {
+  engine.apply_op(x, scratch);
+  engine.waxpy(s[0], -1.0, scratch, b);
+  extend_chain(engine, *basis, ChainView{&s}, 1, p.size(), scratch);
+}
+
+void ScgSspmvMethod::update(Engine& engine, const Vec& b, Vec& x,
+                            const ScalarWork::Result& sw, bool first,
+                            bool replace, Vec& scratch) {
+  const std::size_t su = p.size();
+  // Direction block and AP recurrence (paper Alg. 4 lines 9-11).  The AP
+  // seed column c is A p_c(A) r, the x * p_c expansion over the basis.
+  copy_block(engine, s, p_next, su);
+  for (std::size_t c = 0; c < su; ++c)
+    combine_chain(engine, basis->seed(0, static_cast<int>(c)), ChainView{&s},
+                  ap_next[c]);
+  if (!first) {
+    engine.block_maxpy(p_next, p, sw.b);
+    engine.block_maxpy(ap_next, ap, sw.b);
+  }
+  // x and the recurred residual (lines 12-13), re-anchored to the truth on
+  // a replacement; then the s SPMVs of the basis rebuild (lines 14-15).
+  engine.block_axpy(x, p_next, sw.alpha);
+  engine.block_combine(s_next[0], s[0], ap_next, sw.alpha);
+  if (replace) {
+    engine.apply_op(x, scratch);
+    engine.waxpy(s_next[0], -1.0, scratch, b);
+  }
+  extend_chain(engine, *basis, ChainView{&s_next}, 1, su, scratch);
+  std::swap(s, s_next);
+  std::swap(p, p_next);
+  std::swap(ap, ap_next);
+}
+
+}  // namespace sstep
 
 SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
                                  const SolverOptions& opts) const {
-  using namespace sstep;
-  SolveStats stats;
-  stats.method = name();
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
-  const double tol = detail::threshold(stats, opts);
-
-  std::size_t iterations = 0;
-  double rnorm = 0.0;
-
-  // Basis shifts resolved once per solve; monomial passes through with no
-  // kernels (see pipe_pscg.cpp).
-  const BasisSpec basis_spec =
-      resolve_basis(engine, opts.basis, /*preconditioned=*/false);
-  stats.basis = to_string(basis_spec.type);
-  stats.basis_lambda_min = basis_spec.lambda_min;
-  stats.basis_lambda_max = basis_spec.lambda_max;
-
-  // Gap monitor: this driver's dots are blocking, so a due check resolves
-  // in the SAME batch (the true-residual dot rides the one collective the
-  // outer iteration already performs) and a triggered replacement lands at
-  // the next outer iteration's residual rebuild.
-  GapMonitor gap_monitor(opts.gap_tol);
-  const int gap_period = resolve_gap_period(opts);
-  Vec gap_r = engine.new_vec();
-  Vec scratch = engine.new_vec();
-
-  // Fault recovery (see pipe_pscg.cpp for the full rationale): verdicts
-  // derive from the reduced dot batch, identical on all ranks, so rollback
-  // stays in SPMD lockstep.
-  fault::RecoveryManager recovery(opts.recovery, opts.max_recoveries);
-  if (recovery.active())
-    recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
-  int cur_s = opts.s;
-  TelemetrySnapshot telem;
-
-  auto attempt = [&](int s_att) -> AttemptEnd {
-    const std::size_t su = static_cast<std::size_t>(s_att);
-    const ShiftedBasis sbasis(basis_spec, s_att);
-    const bool shifted = !sbasis.monomial();
-    gap_monitor.new_attempt();
-
-    VecBlock basis = engine.new_block(su + 1),
-             basis_next = engine.new_block(su + 1);
-    VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-    VecBlock ap_prev = engine.new_block(su), ap_cur = engine.new_block(su);
-
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(x, ax);
-      engine.waxpy(basis[0], -1.0, ax, b);
-    }
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&basis, nullptr}, 1, su,
-                   scratch);
-    else
-      engine.apply_op_powers(basis[0], std::span<Vec>(basis.data() + 1, su));
-
-    const DotLayout layout{s_att, /*preconditioned=*/false, shifted};
-    std::vector<DotPair> pairs;
-    // One spare slot for the piggybacked gap-check dot.
-    std::vector<double> values(layout.total() + 1);
-    const std::span<const double> active(values.data(), layout.total());
-    if (shifted)
-      build_gram_dot_pairs(basis, ap_cur, pairs);
-    else
-      build_dot_pairs(basis, ap_cur, pairs);
-    engine.dots(pairs, values);
-    if (recovery.active() && !batch_finite(active)) return AttemptEnd::kFault;
-
-    ScalarWork scalar_work(s_att);
-    std::size_t outer = 0;
-    rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-    detail::DivergenceDetector diverge(rnorm);
-    telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-    if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-      if (recovery.active()) {
-        stats.breakdown = false;  // rolling back, not stopping
-        return AttemptEnd::kFault;
-      }
-      stats.converged = false;
-      return AttemptEnd::kDone;
-    }
-
-    bool force_replace = false;
-    while (rnorm >= tol && iterations < opts.max_iterations) {
-      const la::DenseMatrix cross = layout.cross(values);
-      ScalarWork::Result sw =
-          shifted ? scalar_work.step_gram(
-                        sbasis,
-                        std::span<const double>(values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : scalar_work.step(
-                        std::span<const double>(values.data(),
-                                                layout.moment_count()),
-                        cross);
-      if (!sw.ok) {
-        if (sw.gram_breakdown) ++stats.gram_breakdowns;
-        if (recovery.active()) return AttemptEnd::kFault;
-        stats.breakdown = true;
-        stats.stagnated = true;
-        break;
-      }
-      telem.capture(sw);
-      if (recovery.should_save(rnorm))
-        recovery.save(x.span(), iterations, rnorm);
-
-      // Direction block and AQ/AP recurrence (paper Alg. 4 lines 9-11).
-      // The AP seed column c is A p_c(A) r: the next basis vector for the
-      // monomial family, the x * p_c seed expansion for a shifted one.
-      copy_block(engine, basis, p_cur, su);
-      for (std::size_t c = 0; c < su; ++c) {
-        if (shifted)
-          combine_chain(engine, sbasis.seed(0, static_cast<int>(c)),
-                        ChainView{&basis, nullptr}, ap_cur[c]);
-        else
-          engine.copy(basis[c + 1], ap_cur[c]);
-      }
-      if (outer > 0) {
-        engine.block_maxpy(p_cur, p_prev, sw.b);
-        engine.block_maxpy(ap_cur, ap_prev, sw.b);
-      }
-
-      // x and the *recurred* residual (Alg. 4 lines 12-13): no SPMV here --
-      // unless the gap monitor demanded a replacement, which re-anchors the
-      // residual to the truth (one SPMV, van der Vorst).
-      engine.block_axpy(x, p_cur, sw.alpha);
-      engine.block_combine(basis_next[0], basis[0], ap_cur, sw.alpha);
-      const bool replaced_now = force_replace;
-      force_replace = false;
-      if (replaced_now) {
-        ++stats.replacements;
-        engine.apply_op(x, scratch);
-        engine.waxpy(basis_next[0], -1.0, scratch, b);
-      }
-
-      // Rebuild the powers from the (possibly re-anchored) residual: s
-      // SPMVs (lines 14-15), fused into one halo exchange when an MPK is
-      // attached (monomial only; shifted chains interleave combinations).
-      if (shifted)
-        extend_chain(engine, sbasis, ChainView{&basis_next, nullptr}, 1, su,
-                     scratch);
-      else
-        engine.apply_op_powers(basis_next[0],
-                               std::span<Vec>(basis_next.data() + 1, su));
-
-      // Gap check: the true-residual dot rides the same blocking batch.
-      // Skipped on replacement iterations -- the residual was just anchored
-      // to the truth, so the comparison would be vacuously zero and reset
-      // the failure ladder without measuring recurrence health.
-      const bool gap_due =
-          gap_monitor.enabled() && !replaced_now &&
-          ((outer + 1) % static_cast<std::size_t>(gap_period)) == 0;
-      if (gap_due) {
-        engine.apply_op(x, scratch);
-        engine.waxpy(gap_r, -1.0, scratch, b);
-      }
-
-      if (shifted)
-        build_gram_dot_pairs(basis_next, ap_cur, pairs);
-      else
-        build_dot_pairs(basis_next, ap_cur, pairs);
-      if (gap_due) pairs.push_back(DotPair{&gap_r, &gap_r});
-      engine.dots(pairs, values);
-      if (recovery.active() && !batch_finite(active))
-        return AttemptEnd::kFault;
-
-      iterations += su;
-      ++outer;
-      rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-      if (gap_due) {
-        const double true_norm =
-            std::sqrt(std::max(values[layout.total()], 0.0));
-        if (std::isfinite(true_norm)) {
-          const GapMonitor::Action act =
-              gap_monitor.observe(rnorm, true_norm, stats);
-          telem.note_gap(true_norm, gap_monitor.last_gap());
-          if (act == GapMonitor::Action::kReplace) {
-            force_replace = true;
-          } else if (act == GapMonitor::Action::kEscalate) {
-            if (recovery.active()) {
-              recovery.escalate_degrade();
-              return AttemptEnd::kFault;
-            }
-            stats.stagnated = true;
-            break;
-          }
-        } else if (recovery.active()) {
-          return AttemptEnd::kFault;
-        }
-      }
-      telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-      if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-        if (recovery.active()) {
-          stats.breakdown = false;
-          return AttemptEnd::kFault;
-        }
-        stats.stagnated = true;
-        break;
-      }
-      engine.mark_iteration(iterations - 1, rnorm);
-      if (recovery.active() && diverge.update(rnorm))
-        return AttemptEnd::kFault;
-
-      std::swap(basis, basis_next);
-      std::swap(p_prev, p_cur);
-      std::swap(ap_prev, ap_cur);
-    }
-
-    stats.converged = rnorm < tol;
-    return AttemptEnd::kDone;
-  };
-
-  for (;;) {
-    if (attempt(cur_s) == AttemptEnd::kDone) break;
-    if (!recovery.admit_failure()) {
-      stats.breakdown = true;
-      stats.stagnated = true;
-      break;
-    }
-    iterations = recovery.restore(x.span());
-    rnorm = recovery.checkpoint_rnorm();
-    ++stats.recoveries;
-    if (obs::Profiler* prof = obs::Profiler::current())
-      ++prof->counters().recoveries;
-    if (recovery.should_degrade() && cur_s > 1) {
-      cur_s = std::max(1, cur_s - 1);
-      recovery.acknowledge_degrade();
-    }
-  }
-
-  // A solve that needed rollbacks and still failed to converge is a
-  // stagnation (see pipe_pscg.cpp).
-  if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
-
-  stats.final_s = cur_s;
-  stats.iterations = iterations;
-  stats.final_rnorm = rnorm;
-  detail::finalize_stats(engine, b, x, opts, stats);
-  return stats;
+  return sstep::drive<sstep::ScgSspmvMethod>(engine, b, x, opts, opts.s,
+                                             name());
 }
 
 }  // namespace pipescg::krylov

@@ -46,18 +46,17 @@ ScalarWork::Result ScalarWork::step(std::span<const double> moments,
   return solve_with(m_s, moments.subspan(0, s), cross);
 }
 
-ScalarWork::Result ScalarWork::step_gram(const ShiftedBasis& basis,
-                                         std::span<const double> tri,
-                                         const la::DenseMatrix& cross) {
+ScalarWork::Result ScalarWork::step(const DotLayout& layout,
+                                    const ShiftedBasis& basis,
+                                    std::span<const double> values) {
+  const la::DenseMatrix cross = layout.cross(values);
+  if (!layout.gram) return step(values.first(layout.moment_count()), cross);
   const std::size_t s = static_cast<std::size_t>(s_);
-  PIPESCG_CHECK(basis.s() == s_, "basis depth mismatch");
-  const DotLayout layout{s_, false, true};
-  PIPESCG_CHECK(tri.size() >= layout.tri_count(),
-                "need (s+1)(s+2)/2 Gram values");
+  PIPESCG_CHECK(basis.s() == s_ && layout.s == s_, "basis depth mismatch");
   // Symmetric triangle access: G(j, k) = G(k, j).
   const auto g_at = [&](std::size_t j, std::size_t k) {
-    return j <= k ? tri[layout.gram_index(j, k)]
-                  : tri[layout.gram_index(k, j)];
+    return j <= k ? values[layout.gram_index(j, k)]
+                  : values[layout.gram_index(k, j)];
   };
   // M_S(j, k) = (S[j], x S[k]) expanded through the three-term recurrence
   // x p_k = gamma_k p_{k+1} + theta_k p_k + sigma_k p_{k-1}; symmetrized
@@ -159,90 +158,51 @@ la::DenseMatrix DotLayout::cross(std::span<const double> values) const {
   return c;
 }
 
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+void build_dot_pairs(const DotLayout& layout, const VecBlock& wb,
+                     const VecBlock& v, const VecBlock& ap,
                      std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
-  out.clear();
-  // Moments m_j = (A^{j-j/2} r, A^{j/2} r), j = 0..2s.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&s_basis[j - half], &s_basis[half]});
-  }
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
+  const std::size_t s = static_cast<std::size_t>(layout.s);
+  PIPESCG_CHECK(ap.size() == s && wb.size() == s + 1 && v.size() == s + 1,
                 "bases must have s+1 columns");
   out.clear();
-  // Moments m_j = ((A M^{-1})^{j-j/2} r, (M^{-1}A)^{j/2} u)
-  //             = r^T (M^{-1}A)^j u.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&wb[j - half], &v[half]});
+  if (layout.gram) {
+    // G(j, k) = (wb[j], v[k]) = v[j]^T M v[k]: symmetric, so the upper
+    // triangle suffices (wb == v unpreconditioned).
+    for (std::size_t j = 0; j <= s; ++j)
+      for (std::size_t k = j; k <= s; ++k)
+        out.push_back(DotPair{&wb[j], &v[k]});
+  } else {
+    // Moments m_j = ((A M^{-1})^{j-j/2} r, (M^{-1}A)^{j/2} u)
+    //             = r^T (M^{-1}A)^j u.
+    for (std::size_t j = 0; j <= 2 * s; ++j)
+      out.push_back(DotPair{&wb[j - j / 2], &v[j / 2]});
   }
   // Cross C(k, j) = ((A P_cur)[k], V_new[j]) = (P_cur^T A V_new)(k, j).
   for (std::size_t k = 0; k < s; ++k)
     for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&apr[k], &v[j]});
-  // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
-  out.push_back(DotPair{&wb[0], &wb[0]});
-  out.push_back(DotPair{&v[0], &v[0]});
+      out.push_back(DotPair{&ap[k], &v[j]});
+  if (layout.preconditioned) {
+    // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
+    out.push_back(DotPair{&wb[0], &wb[0]});
+    out.push_back(DotPair{&v[0], &v[0]});
+  }
 }
 
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
-  out.clear();
-  // Gram upper triangle G(j, k) = (S[j], S[k]), j <= k <= s.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&s_basis[j], &s_basis[k]});
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
-                "bases must have s+1 columns");
-  out.clear();
-  // G(j, k) = (wb[j], v[k]) = v[j]^T M v[k]: the M-inner Gram of the u-side
-  // basis (wb[j] = M v[j]), symmetric, so the upper triangle suffices.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&wb[j], &v[k]});
-  // Cross C(k, j) = ((A P_cur)[k], V_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&apr[k], &v[j]});
-  // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
-  out.push_back(DotPair{&wb[0], &wb[0]});
-  out.push_back(DotPair{&v[0], &v[0]});
+DotPair flavored_residual(Engine& engine, const Vec& b, const Vec& x,
+                          NormType norm, Vec& r, Vec& u, Vec& tmp) {
+  engine.apply_op(x, tmp);
+  engine.waxpy(r, -1.0, tmp, b);  // r = b - A x
+  if (norm == NormType::kUnpreconditioned || !engine.has_preconditioner())
+    return DotPair{&r, &r};
+  engine.apply_pc(r, u);
+  return DotPair{norm == NormType::kPreconditioned ? &u : &r, &u};
 }
 
 double true_flavored_norm(Engine& engine, const Vec& b, const Vec& x,
                           NormType norm, Vec& scratch_r, Vec& scratch_u) {
-  engine.apply_op(x, scratch_u);
-  engine.waxpy(scratch_r, -1.0, scratch_u, b);  // r = b - A x
-  const Vec* nx = &scratch_r;
-  const Vec* ny = &scratch_r;
-  if (norm != NormType::kUnpreconditioned && engine.has_preconditioner()) {
-    engine.apply_pc(scratch_r, scratch_u);
-    ny = &scratch_u;
-    if (norm == NormType::kPreconditioned) nx = &scratch_u;
-  }
-  return std::sqrt(std::max(engine.dot(*nx, *ny), 0.0));
+  const DotPair p =
+      flavored_residual(engine, b, x, norm, scratch_r, scratch_u, scratch_u);
+  return std::sqrt(std::max(engine.dot(*p.x, *p.y), 0.0));
 }
 
 bool batch_finite(std::span<const double> values) {
@@ -299,6 +259,12 @@ void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
   PIPESCG_CHECK(src.size() >= count && dst.size() >= count,
                 "copy_block count exceeds block size");
   for (std::size_t j = 0; j < count; ++j) engine.copy(src[j], dst[j]);
+}
+
+std::vector<VecBlock> new_towers(Engine& engine, std::size_t s) {
+  std::vector<VecBlock> towers;
+  for (std::size_t j = 0; j <= s; ++j) towers.push_back(engine.new_block(s));
+  return towers;
 }
 
 void TelemetrySnapshot::capture(const ScalarWork::Result& sw) {

@@ -25,6 +25,11 @@
 // exists *before* any new SPMV -- the dot products post immediately and the
 // s SPMVs (+ s PCs) that extend the power basis to A^{2s} r_{i+1} overlap
 // the allreduce (paper Alg. 5/6/7).
+//
+// sCG-sSPMV and the pipelined methods share one outer loop, sstep::drive
+// (sstep_driver.hpp).  The basis (monomial or shifted, krylov/basis.hpp)
+// only changes which kernels extend_chain / combine_chain emit and which
+// DotLayout the batch uses.
 #pragma once
 
 #include <span>
@@ -37,47 +42,6 @@
 #include "pipescg/la/lu.hpp"
 
 namespace pipescg::krylov::sstep {
-
-/// The "Scalar Work" of Alg. 2 line 7: two s x s solves per outer iteration.
-class ScalarWork {
- public:
-  explicit ScalarWork(int s);
-
-  struct Result {
-    la::DenseMatrix b;          // s x s conjugation coefficients (beta's)
-    std::vector<double> alpha;  // s step sizes
-    bool ok = false;            // false on singular/non-finite scalar work
-    // The W system failed the SPD guard (la::CholeskyFactorization::
-    // try_factor): the basis Gram matrix has numerically collapsed.  A
-    // structured soft failure -- the caller rolls back / replaces instead of
-    // iterating on the garbage an LU solve of a near-singular system would
-    // produce.  Always false when `ok`.
-    bool gram_breakdown = false;
-  };
-
-  /// Monomial basis: moments m_0..m_2s (size 2s+1), cross C (s x s,
-  /// C(k,j) = (AP_prev[k], S_new[j])).  Maintains W_{i-1} across calls.
-  Result step(std::span<const double> moments, const la::DenseMatrix& cross);
-
-  /// Shifted basis: `tri` is the basis Gram upper triangle G(j,k) =
-  /// (S[j], S[k]) for 0 <= j <= k <= s in DotLayout::gram_index order
-  /// ((s+1)(s+2)/2 values); M_S and g are recovered through the three-term
-  /// recurrence, N(j,k) = gamma_k G(j,k+1) + theta_k G(j,k) +
-  /// sigma_k G(j,k-1) and g_j = G(0,j).  Degenerates to step() numbers for
-  /// a monomial `basis`.
-  Result step_gram(const ShiftedBasis& basis, std::span<const double> tri,
-                   const la::DenseMatrix& cross);
-
-  bool first() const { return first_; }
-
- private:
-  Result solve_with(const la::DenseMatrix& m_s, std::span<const double> g,
-                    const la::DenseMatrix& cross);
-
-  int s_;
-  bool first_ = true;
-  la::DenseMatrix w_prev_;
-};
 
 /// Layout of the single per-iteration dot batch.
 struct DotLayout {
@@ -119,27 +83,54 @@ struct DotLayout {
   la::DenseMatrix cross(std::span<const double> values) const;
 };
 
-/// Build the batch for the unpreconditioned methods: basis S has s+1
-/// columns [r, A r, ..., A^s r]; ap has s columns A P_cur.
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+/// The "Scalar Work" of Alg. 2 line 7: two s x s solves per outer iteration.
+class ScalarWork {
+ public:
+  explicit ScalarWork(int s);
+
+  struct Result {
+    la::DenseMatrix b;          // s x s conjugation coefficients (beta's)
+    std::vector<double> alpha;  // s step sizes
+    bool ok = false;            // false on singular/non-finite scalar work
+    // The W system failed the SPD guard (la::CholeskyFactorization::
+    // try_factor): the basis Gram matrix has numerically collapsed.  A
+    // structured soft failure -- the caller rolls back / replaces instead of
+    // iterating on the garbage an LU solve of a near-singular system would
+    // produce.  Always false when `ok`.
+    bool gram_breakdown = false;
+  };
+
+  /// Monomial basis: moments m_0..m_2s (size 2s+1), cross C (s x s,
+  /// C(k,j) = (AP_prev[k], S_new[j])).  Maintains W_{i-1} across calls.
+  Result step(std::span<const double> moments, const la::DenseMatrix& cross);
+
+  /// One outer iteration from a reduced dot batch laid out per `layout`.
+  /// Moment layouts go through step() above.  Gram layouts carry the basis
+  /// Gram upper triangle G(j,k) = (S[j], S[k]), 0 <= j <= k <= s; M_S and g
+  /// are recovered through the three-term recurrence, N(j,k) =
+  /// gamma_k G(j,k+1) + theta_k G(j,k) + sigma_k G(j,k-1) and g_j = G(0,j).
+  Result step(const DotLayout& layout, const ShiftedBasis& basis,
+              std::span<const double> values);
+
+ private:
+  Result solve_with(const la::DenseMatrix& m_s, std::span<const double> g,
+                    const la::DenseMatrix& cross);
+
+  int s_;
+  bool first_ = true;
+  la::DenseMatrix w_prev_;
+};
+
+/// Build the dot batch for `layout`: the 2s+1 moments
+/// m_j = (wb[j - j/2], v[j/2]) or, for a Gram layout, the upper triangle
+/// G(j,k) = (wb[j], v[k]); then the cross block C(k,j) = (ap[k], v[j]); then,
+/// preconditioned, the (r,r) and (u,u) norm extras.  wb/v are the r-side
+/// and u-side bases (s+1 columns each; wb[j] = M v[j]), ap = A P_cur (s
+/// columns, r-side).  Unpreconditioned methods pass their one basis as both
+/// wb and v.
+void build_dot_pairs(const DotLayout& layout, const VecBlock& wb,
+                     const VecBlock& v, const VecBlock& ap,
                      std::vector<DotPair>& out);
-
-/// Preconditioned: wb = r-side powers [(A M^{-1})^j r], v = u-side powers
-/// [(M^{-1}A)^j u] (s+1 columns each); apr = A P_cur (s columns, r-side).
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out);
-
-/// Shifted-basis batch (DotLayout::gram): Gram upper triangle
-/// G(j,k) = (S[j], S[k]), j <= k, then the cross block -- same shape of
-/// communication as the monomial batch, larger payload.
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out);
-
-/// Preconditioned shifted-basis batch: G(j,k) = (wb[j], v[k]) = the
-/// M-inner product of the u-side basis columns (wb[j] = M v[j]), j <= k;
-/// cross and the two norm extras follow as in the monomial layout.
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out);
 
 /// NaN/Inf guard on a reduced dot batch (the 2s+1 moments plus the Gram
 /// cross block).  The reduced values are identical on all ranks, so every
@@ -203,6 +194,12 @@ class GapMonitor {
   std::size_t failures_ = 0;   // consecutive replacements that didn't close it
 };
 
+/// r = b - A x (`tmp` receives A x) and, for the preconditioned flavors
+/// with a preconditioner attached, u = M^{-1} r.  Returns the operands of
+/// the flavored norm dot; `tmp` may alias `u`.
+DotPair flavored_residual(Engine& engine, const Vec& b, const Vec& x,
+                          NormType norm, Vec& r, Vec& u, Vec& tmp);
+
 /// True residual norm in the requested flavor: r = b - A x (one SPMV),
 /// u = M^{-1} r when needed (one PC), one blocking dot.  Used for verified
 /// acceptance: a pipelined method's recurred residual may cross the
@@ -214,6 +211,9 @@ double true_flavored_norm(Engine& engine, const Vec& b, const Vec& x,
 /// Copy the first s columns of `src` into `dst` (block "slice" helper).
 void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
                 std::size_t count);
+
+/// The s+1 power towers of a pipelined method: s+1 blocks of s columns.
+std::vector<VecBlock> new_towers(Engine& engine, std::size_t s);
 
 /// Per-iteration convergence telemetry staging for the s-step drivers.
 /// capture() snapshots the most recent scalar work (alpha step sizes and

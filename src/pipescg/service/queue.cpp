@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "pipescg/krylov/multi_rhs.hpp"
+
 namespace pipescg::service {
 
 bool batchable(const SolveContext& a, const SolveContext& b) {
@@ -13,7 +15,8 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
   const krylov::SolverOptions& oa = a.options();
   const krylov::SolverOptions& ob = b.options();
   return oa.s == ob.s && oa.rtol == ob.rtol && oa.atol == ob.atol &&
-         oa.norm == ob.norm && oa.max_iterations == ob.max_iterations;
+         oa.norm == ob.norm && oa.max_iterations == ob.max_iterations &&
+         oa.basis == ob.basis;
 }
 
 void AdmissionQueue::submit(SolveContext* ctx) {
@@ -35,6 +38,13 @@ std::vector<SolveContext*> AdmissionQueue::next_batch(std::size_t max_batch) {
   if (queue_.empty()) return out;
   out.push_back(queue_.front());
   queue_.pop_front();
+  // Never wider than one allreduce can carry for the head job's s and basis.
+  const krylov::SolverOptions& head = out.front()->options();
+  if (head.s >= 1)
+    max_batch = std::min(
+        max_batch,
+        krylov::max_batch_columns(
+            head.s, head.basis.type != krylov::BasisType::kMonomial));
   // Longest batchable PREFIX only: grouping never lets a job overtake an
   // incompatible earlier arrival.
   while (out.size() < std::max<std::size_t>(max_batch, 1) &&

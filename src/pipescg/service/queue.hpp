@@ -25,9 +25,9 @@
 namespace pipescg::service {
 
 /// True when two contexts may share one multi-RHS batch: same method with a
-/// batched driver ("scg-sspmv" is the one multi-RHS-capable method today)
-/// and identical convergence contract (s, rtol, atol, norm, max_iterations,
-/// no step limit).
+/// batched driver ("scg-sspmv" is the one multi-RHS-capable method today),
+/// identical convergence contract (s, rtol, atol, norm, max_iterations, no
+/// step limit) and the same s-step basis (BasisSpec).
 bool batchable(const SolveContext& a, const SolveContext& b);
 
 class AdmissionQueue {
@@ -40,8 +40,10 @@ class AdmissionQueue {
   std::size_t pending() const;
 
   /// Pop the longest batchable prefix of the queue, capped at `max_batch`
-  /// (>= 1).  Returns an empty vector when the queue is empty; a singleton
-  /// when the head job cannot batch with its successor.  Thread-safe.
+  /// (>= 1) and at krylov::max_batch_columns for the head job's s and basis
+  /// (the widest batch one allreduce can carry).  Returns an empty vector
+  /// when the queue is empty; a singleton when the head job cannot batch
+  /// with its successor.  Thread-safe.
   std::vector<SolveContext*> next_batch(std::size_t max_batch);
 
   /// Jobs admitted since construction.

@@ -84,9 +84,21 @@ void Session::solve_batch(std::span<SolveContext* const> ctxs) {
   for (std::size_t i = 1; i < ctxs.size(); ++i)
     PIPESCG_CHECK(batchable(*ctxs[0], *ctxs[i]),
                   "solve_batch contexts are not mutually batchable "
-                  "(method/s/tolerance/norm/max_iterations must match, no "
-                  "step limit)");
-  execute(ctxs);
+                  "(method/s/tolerance/norm/max_iterations/basis must match, "
+                  "no step limit)");
+  // A monomial request is served with the session's default basis
+  // (execute()), whose wider Gram payload can fit fewer columns into one
+  // allreduce than the request's own basis allows: run such a batch in
+  // slices that fit.
+  const krylov::SolverOptions& head = ctxs[0]->options();
+  const bool shifted = head.basis.type != krylov::BasisType::kMonomial ||
+                       config_.basis.type != krylov::BasisType::kMonomial;
+  const std::size_t cap =
+      head.s < 1 ? ctxs.size()
+                 : std::max<std::size_t>(
+                       krylov::max_batch_columns(head.s, shifted), 1);
+  for (std::size_t i = 0; i < ctxs.size(); i += cap)
+    execute(ctxs.subspan(i, std::min(cap, ctxs.size() - i)));
 }
 
 void Session::set_observability(Observability obs) {
@@ -151,7 +163,7 @@ std::size_t Session::drain(AdmissionQueue& queue, std::size_t max_batch) {
     for (const SolveContext* ctx : batch)
       queue_latency_.add(
           std::chrono::duration<double>(start - ctx->enqueued_at_).count());
-    execute(batch);
+    solve_batch(batch);
     executed += batch.size();
   }
   if (live_metrics_.queue_depth != nullptr)

@@ -132,7 +132,9 @@ class Session {
   /// Execute k jobs as ONE batched multi-RHS solve (one s-step basis build
   /// cadence, dot batches widened to k columns; krylov::scg_multi_solve).
   /// All contexts must be mutually batchable(); a single-element span
-  /// degenerates to solve().
+  /// degenerates to solve().  A batch wider than one allreduce carries
+  /// under the basis it is served with (the session default for monomial
+  /// requests, krylov::max_batch_columns) runs as consecutive slices.
   void solve_batch(std::span<SolveContext* const> ctxs);
 
   /// Drain the admission queue: repeatedly pop the next batchable run

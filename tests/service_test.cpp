@@ -228,7 +228,7 @@ TEST(MultiRhsTest, MatchesIndependentSolvesColumnWise) {
   const sparse::CsrMatrix a = test_matrix();
   const krylov::SolverOptions opts = test_opts();
   const std::size_t k = 3;
-  ASSERT_LE(k, krylov::max_batch_columns(opts.s));
+  ASSERT_LE(k, krylov::max_batch_columns(opts.s, /*shifted_basis=*/false));
 
   // Independent reference solves on a serial engine.
   std::vector<std::vector<double>> x_ref(k);
@@ -313,7 +313,8 @@ TEST(MultiRhsTest, SessionBatchMatchesIndependentSessionSolves) {
 
 TEST(MultiRhsTest, BatchWidthIsCappedByPayload) {
   // The fused payload k * (2s+1 + s^2) must fit one allreduce slot.
-  const std::size_t cap3 = krylov::max_batch_columns(3);
+  const std::size_t cap3 =
+      krylov::max_batch_columns(3, /*shifted_basis=*/false);
   EXPECT_EQ(cap3, par::Team::kMaxPayload / (2 * 3 + 1 + 3 * 3));
   EXPECT_GE(cap3, 16u);
 }
@@ -356,6 +357,116 @@ TEST(AdmissionQueueTest, BatchesLongestCompatiblePrefix) {
   EXPECT_TRUE(queue.next_batch(8).empty());
   EXPECT_EQ(queue.admitted(), 4u);
   EXPECT_EQ(queue.batches(), 1u);
+}
+
+TEST(AdmissionQueueTest, DifferentBasisDoesNotBatch) {
+  const sparse::CsrMatrix a = test_matrix(8);
+  const krylov::SolverOptions mono = test_opts();
+  krylov::SolverOptions cheb = test_opts();
+  cheb.basis.type = krylov::BasisType::kChebyshev;
+  krylov::SolverOptions cheb_bounds = cheb;
+  cheb_bounds.basis.lambda_max = 8.0;
+  SolveContext m("scg-sspmv", test_rhs(a, 0), mono);
+  SolveContext c("scg-sspmv", test_rhs(a, 1), cheb);
+  SolveContext cb("scg-sspmv", test_rhs(a, 2), cheb_bounds);
+  EXPECT_FALSE(batchable(m, c));
+  EXPECT_FALSE(batchable(c, cb));
+
+  AdmissionQueue queue;
+  queue.submit(&m);
+  queue.submit(&c);
+  EXPECT_EQ(queue.next_batch(8).size(), 1u);
+  EXPECT_EQ(queue.next_batch(8).size(), 1u);
+}
+
+TEST(AdmissionQueueTest, DrainedChebyshevRequestKeepsItsBasis) {
+  // A chebyshev request queued behind a monomial one must be solved with
+  // its own basis, exactly as it would be alone.
+  const sparse::CsrMatrix a = test_matrix();
+  SessionConfig config;
+  config.ranks = 2;
+  Session session(a, config);
+  krylov::SolverOptions cheb = test_opts();
+  cheb.basis.type = krylov::BasisType::kChebyshev;
+  SolveContext solo("scg-sspmv", test_rhs(a, 1), cheb);
+  session.solve(solo);
+  ASSERT_TRUE(solo.converged());
+
+  SolveContext mono_job("scg-sspmv", test_rhs(a, 0), test_opts());
+  SolveContext cheb_job("scg-sspmv", test_rhs(a, 1), cheb);
+  AdmissionQueue queue;
+  queue.submit(&mono_job);
+  queue.submit(&cheb_job);
+  EXPECT_EQ(session.drain(queue), 2u);
+  EXPECT_EQ(mono_job.stats().basis, "monomial");
+  EXPECT_EQ(cheb_job.stats().basis, "chebyshev");
+  EXPECT_EQ(cheb_job.stats().iterations, solo.stats().iterations);
+  EXPECT_EQ(cheb_job.x(), solo.x());
+}
+
+TEST(AdmissionQueueTest, BatchWidthStopsAtOneAllreduce) {
+  // At s = 16 one allreduce carries 14 monomial columns (10 shifted), fewer
+  // than drain()'s default cap of 16: the queue must split the run instead
+  // of handing the batched driver a payload it rejects.
+  const sparse::CsrMatrix a = test_matrix(8);
+  for (const krylov::BasisType type :
+       {krylov::BasisType::kMonomial, krylov::BasisType::kChebyshev}) {
+    krylov::SolverOptions opts = test_opts();
+    opts.s = 16;
+    opts.max_iterations = 64;
+    opts.basis.type = type;
+    const std::size_t cap = krylov::max_batch_columns(
+        16, type != krylov::BasisType::kMonomial);
+    EXPECT_EQ(cap, type == krylov::BasisType::kMonomial ? 14u : 10u);
+
+    std::vector<std::unique_ptr<SolveContext>> jobs;
+    AdmissionQueue queue;
+    for (std::size_t j = 0; j < 16; ++j) {
+      jobs.push_back(
+          std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+      queue.submit(jobs.back().get());
+    }
+    const std::vector<SolveContext*> first = queue.next_batch(16);
+    EXPECT_EQ(first.size(), cap);
+    EXPECT_EQ(queue.next_batch(16).size(), 16 - cap);
+
+    // End to end: drain() runs every job instead of failing the batch.
+    SessionConfig config;
+    config.ranks = 2;
+    Session session(a, config);
+    for (auto& job : jobs) queue.submit(job.get());
+    EXPECT_EQ(session.drain(queue), 16u);
+    EXPECT_EQ(session.team_runs(), 2u);
+    for (const auto& job : jobs)
+      EXPECT_EQ(job->state(), JobState::kDone) << job->error();
+  }
+}
+
+TEST(AdmissionQueueTest, SessionDefaultBasisBatchFitsOneAllreduce) {
+  // Monomial requests served under a chebyshev session default carry the
+  // wider Gram payload: 10 columns fit at s = 16, not the 14 the queue
+  // grants a monomial head job.
+  const sparse::CsrMatrix a = test_matrix(8);
+  SessionConfig config;
+  config.ranks = 2;
+  config.basis.type = krylov::BasisType::kChebyshev;
+  Session session(a, config);
+  krylov::SolverOptions opts = test_opts();
+  opts.s = 16;
+  opts.max_iterations = 64;
+  std::vector<std::unique_ptr<SolveContext>> jobs;
+  AdmissionQueue queue;
+  for (std::size_t j = 0; j < 16; ++j) {
+    jobs.push_back(
+        std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+    queue.submit(jobs.back().get());
+  }
+  EXPECT_EQ(session.drain(queue), 16u);
+  EXPECT_EQ(session.team_runs(), 3u);  // 14 popped -> 10 + 4, then 2
+  for (const auto& job : jobs) {
+    EXPECT_EQ(job->state(), JobState::kDone) << job->error();
+    EXPECT_EQ(job->stats().basis, "chebyshev");
+  }
 }
 
 TEST(AdmissionQueueTest, DrainExecutesMixedStream) {

@@ -133,6 +133,35 @@ TEST(HybridTest, SwitchesAfterStagnationAndConverges) {
   EXPECT_LT(hybrid.stats.final_rnorm, opts.rtol * hybrid.stats.b_norm);
 }
 
+TEST(HybridTest, MergedStatsKeepBothPhasesCounters) {
+  // Phase 1 stagnates here, so the report is the merge of both phases; it
+  // must keep phase 1's replacement, gap and basis bookkeeping.  Phase 1
+  // runs exactly as a pipe-pscg solve with the hybrid's phase-1 options.
+  const sparse::CsrMatrix a = sparse::make_ecology2_like(96, 96);
+  SolverOptions opts;
+  opts.rtol = 1e-10;
+  opts.s = 4;
+  opts.recovery = false;
+  opts.gap_tol = 1e-3;
+  opts.max_iterations = 100000;
+  SolverOptions phase1 = opts;
+  phase1.detect_stagnation = true;
+  phase1.replacement_period = 4;
+  const Outcome first = run_case("pipe-pscg", a, phase1);
+  ASSERT_FALSE(first.stats.converged);
+  ASSERT_GT(first.stats.replacements, 0u);
+  ASSERT_GT(first.stats.gap_checks, 0u);
+
+  const Outcome hybrid = run_case("hybrid", a, opts);
+  ASSERT_GT(hybrid.stats.iterations, first.stats.iterations);  // merged
+  EXPECT_GE(hybrid.stats.replacements, first.stats.replacements);
+  EXPECT_GE(hybrid.stats.gap_checks, first.stats.gap_checks);
+  EXPECT_GE(hybrid.stats.failed_replacements,
+            first.stats.failed_replacements);
+  EXPECT_GE(hybrid.stats.max_residual_gap, first.stats.max_residual_gap);
+  EXPECT_EQ(hybrid.stats.basis, "monomial");
+}
+
 TEST(HybridTest, NoSwitchWhenPhaseOneSuffices) {
   // On a benign problem PIPE-PsCG converges directly; the hybrid must not
   // pay a second phase (iteration count equals the plain run's).
